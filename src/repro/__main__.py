@@ -108,9 +108,12 @@ def _serve_real_backend(args: argparse.Namespace) -> int:
     if args.admission != "none":
         refused.append("--admission")
     if refused:
+        verb = "makes" if len(refused) == 1 else "make"
         print(f"--backend real is wall-clock mode; {', '.join(refused)} "
-              f"only make sense in virtual time (run them on the "
-              f"virtual oracle)", file=sys.stderr)
+              f"only {verb} sense in virtual time (run on the virtual "
+              f"oracle instead)", file=sys.stderr)
+        return 2
+    if _unknown_mix(args.mix):
         return 2
     tenants = None
     if args.tenants:
@@ -119,8 +122,7 @@ def _serve_real_backend(args: argparse.Namespace) -> int:
     rep = serve_real(mix=args.mix, n_requests=args.requests,
                      seed=args.seed,
                      procs=args.procs or min(4, available_cores()),
-                     interarrival=args.interarrival, tenants=tenants,
-                     arrival_rate=args.arrival_rate)
+                     tenants=tenants, arrival_rate=args.arrival_rate)
     check = None
     if args.crosscheck:
         from repro.runtime.crosscheck import (CrosscheckError,
@@ -162,11 +164,20 @@ def _serve_real_backend(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _unknown_mix(mix: str) -> bool:
+    from repro.workloads import MIXES
+    if mix in MIXES:
+        return False
+    print(f"unknown mix {mix!r}; known: {sorted(MIXES)}", file=sys.stderr)
+    return True
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.serve import serve_mix
-    from repro.workloads import MIXES
+    if args.backend == "real":
+        return _serve_real_backend(args)
     if args.replay:
         from repro.chaos import (read_trace, replay_trace, trace_divergence,
                                  traces_equal, write_trace)
@@ -185,12 +196,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.record:
             write_trace(args.record, new)
         return 1
-    if args.mix not in MIXES:
-        print(f"unknown mix {args.mix!r}; known: {sorted(MIXES)}",
-              file=sys.stderr)
+    if _unknown_mix(args.mix):
         return 2
-    if args.backend == "real":
-        return _serve_real_backend(args)
     from repro.serve import DEFAULT_STALENESS
     staleness = (DEFAULT_STALENESS if args.staleness is None
                  else args.staleness)

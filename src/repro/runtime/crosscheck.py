@@ -64,13 +64,6 @@ def virtual_request_rows(mix: str = "paper", n_requests: int = 32,
     return rows
 
 
-def _real_result(row: Dict[str, Any]) -> Any:
-    v = row["result"]
-    if isinstance(v, tuple) and len(v) == 2 and v[0] == "@repr":
-        return v  # compared via repr below
-    return v
-
-
 def crosscheck_real_vs_virtual(real_report: Dict[str, Any],
                                virtual_rows: Optional[List[Dict[str, Any]]]
                                = None,
@@ -134,7 +127,7 @@ def crosscheck_real_vs_virtual(real_report: Dict[str, Any],
                 f"req {i}: virtual done, real state={r['state']!r} "
                 f"(error={r.get('error')!r})")
             continue
-        rr = _real_result(r)
+        rr = r["result"]
         if isinstance(rr, tuple) and len(rr) == 2 and rr[0] == "@repr":
             if rr[1] != repr(v["result"]):
                 problems.append(
@@ -144,9 +137,7 @@ def crosscheck_real_vs_virtual(real_report: Dict[str, Any],
             problems.append(
                 f"req {i}: result {rr!r} vs virtual {v['result']!r}")
         spec = RequestSpec(v["program"], tuple(v["args"]))
-        want = r["state"] == "done" and \
-            _real_result(r) == expected_request_result(spec)
-        if bool(r["correct"]) != bool(want):
+        if bool(r["correct"]) != (rr == expected_request_result(spec)):
             problems.append(
                 f"req {i}: correctness flag {r['correct']!r} "
                 f"inconsistent with the oracle")

@@ -21,7 +21,7 @@ crosses as canonical :mod:`repro.runtime.wire` bytes over OS pipes:
   with "once" collapsed to zero because every worker builds the same
   classpath from the mix name);
 * **ledger deltas** — statics still holding their class-file defaults
-  ride as ``("@cached", fingerprint)`` markers; the receiver verifies
+  ride as ``(CACHED_TAG, fingerprint)`` markers; the receiver verifies
   the fingerprint against its own freshly-linked cells and keeps the
   identical copy.
 
@@ -47,13 +47,12 @@ import signal
 import time
 from collections import deque
 from multiprocessing import connection, get_context
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.migration.state import CACHED_TAG, is_cached_marker
 from repro.runtime import wire
-from repro.runtime.base import Runtime
 
-__all__ = ["RealRuntime", "serve_real", "available_cores",
-           "REAL_QUANTUM"]
+__all__ = ["serve_real", "available_cores", "REAL_QUANTUM"]
 
 #: preemption budget per quantum in the real backend, in guest
 #: instructions.  Bigger than the virtual default (2500): between
@@ -180,10 +179,10 @@ class _Worker:
                     fp = fingerprint(v)
                     if fp == self._default_fp(cls.name, fname):
                         full = len(wire.encode(v))
-                        statics[(cls.name, fname)] = ("@cached", fp)
+                        statics[(cls.name, fname)] = (CACHED_TAG, fp)
                         elided += 1
                         elided_bytes += max(
-                            0, full - len(wire.encode(("@cached", fp))))
+                            0, full - len(wire.encode((CACHED_TAG, fp))))
                         continue
                 statics[(cls.name, fname)] = enc.encode(v)
         class_names = sorted({f[0] for f in frames}
@@ -223,7 +222,7 @@ class _Worker:
                            graph=image["graph"])
         for (cname, fname), e in image["statics"].items():
             home = loader.load(cname).find_static_home(fname)
-            if isinstance(e, tuple) and len(e) == 2 and e[0] == "@cached":
+            if is_cached_marker(e):
                 current = home.statics.get(fname)
                 if fingerprint(current) != e[1]:
                     raise MigrationError(
@@ -246,15 +245,26 @@ class _Worker:
     # -- main loop -------------------------------------------------------
 
     def _start_next(self) -> None:
+        """Start the head of the local queue.  A request gets its own
+        namespace only if its program is non-reentrant — the rule the
+        virtual scheduler's ``isolation="auto"`` applies."""
+        from repro.workloads.mixes import RequestSpec, needs_isolation
         rid, program, args = self.queue.popleft()
-        from repro.workloads.mixes import RequestSpec
         spec = RequestSpec(program, tuple(args))
+        ns = f"rq{rid}@{self.name}" if needs_isolation(program) else None
         thread = self.machine.spawn(spec.main[0], spec.main[1],
                                     list(spec.args),
-                                    thread_name=f"req{rid}",
-                                    namespace=f"rq{rid}@{self.name}")
+                                    thread_name=f"req{rid}", namespace=ns)
         self.instr_mark = self.machine.instr_count
         self.running = (rid, thread)
+
+    def _release(self, thread) -> None:
+        """The running request left this worker (finished or shipped):
+        drop its namespace so its static cells, decoded streams and
+        tier-2 closures die with it."""
+        self.running = None
+        if thread.namespace is not None:
+            self.machine.drop_namespace(thread.namespace)
 
     def _finish(self, rid: int, thread) -> None:
         instrs = self.machine.instr_count - self.instr_mark
@@ -265,7 +275,7 @@ class _Worker:
         else:
             _send(self.conn, ("done", rid, _encode_result(thread.result),
                               instrs))
-        self.running = None
+        self._release(thread)
 
     def _handle(self, msg: Any) -> bool:
         """One control message; returns False on ``stop``."""
@@ -284,7 +294,7 @@ class _Worker:
             if self.running is not None and self.running[0] == rid:
                 _rid, thread = self.running
                 image = self.capture_image(rid, thread)
-                self.running = None
+                self._release(thread)
                 _send(self.conn, ("image", rid, image))
             else:
                 _send(self.conn, ("nocapture", rid))
@@ -351,13 +361,10 @@ class _WorkerHandle:
 
 def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
                procs: int = 2, quantum: int = REAL_QUANTUM,
-               interarrival: float = 0.0,
                tenants: Optional[Any] = None,
                arrival_rate: Optional[float] = None,
-               steal: bool = True,
                fault_plan: Optional[Dict[str, int]] = None,
-               deadline_s: float = 600.0,
-               runtime: Optional["RealRuntime"] = None) -> Dict[str, Any]:
+               deadline_s: float = 600.0) -> Dict[str, Any]:
     """Serve ``n_requests`` of ``mix`` across ``procs`` worker
     processes and return a report dict.
 
@@ -380,10 +387,8 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
 
     if procs < 1:
         raise ValueError(f"need at least one worker process, got {procs}")
-    rt = runtime or RealRuntime(procs=procs)
     load = LoadGenerator(MIXES[mix], n_requests, seed=seed,
-                         interarrival=interarrival, tenants=tenants,
-                         arrival_rate=arrival_rate)
+                         tenants=tenants, arrival_rate=arrival_rate)
     rows = [(rid, tenant, spec)
             for rid, (_when, tenant, spec) in enumerate(load.schedule())]
 
@@ -409,9 +414,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     t0 = time.perf_counter()
 
     def send(w: _WorkerHandle, msg: Any) -> None:
-        n = _send(w.conn, msg)
-        stats["control_bytes"] += n
-        rt.transfer("control", w.name, n)
+        stats["control_bytes"] += _send(w.conn, msg)
 
     def dispatch(w: _WorkerHandle,
                  batch: List[Tuple[int, Optional[str], Any]]) -> None:
@@ -530,8 +533,8 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
 
     def rebalance() -> None:
         """An idle worker pulls work from the most-loaded one: queued
-        rows if the victim has a backlog, else (``steal``) the running
-        thread itself as a SOD image."""
+        rows if the victim has a backlog, else the running thread
+        itself as a SOD image."""
         thief = _pick_idle()
         if thief is None:
             return
@@ -544,7 +547,7 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
         if len(victim.owed) > 1:
             victim.capture_pending = True
             send(victim, ("giveback", max(1, len(victim.owed) // 2)))
-        elif steal:
+        else:
             rid = next(iter(victim.owed))
             victim.capture_pending = True
             send(victim, ("capture", rid))
@@ -647,63 +650,3 @@ def serve_real(mix: str = "paper", n_requests: int = 32, seed: int = 7,
     if per_tenant:
         report["tenants"] = per_tenant
     return report
-
-
-class RealRuntime(Runtime):
-    """Wall-clock runtime over OS processes (see module docstring)."""
-
-    name = "real"
-
-    def __init__(self, procs: Optional[int] = None):
-        self.procs = procs or min(4, available_cores())
-        #: (src, dst) -> bytes actually shipped over pipes
-        self.bytes_moved: Dict[Tuple[str, str], int] = {}
-        self._timers: List[Any] = []
-
-    # -- kernel primitives -------------------------------------------------
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def spawn(self, fn: Callable, *args: Any) -> Any:
-        import threading
-        t = threading.Thread(target=fn, args=args, daemon=True)
-        t.start()
-        return t
-
-    def timer(self, delay: float, fn: Callable[[Any], None],
-              arg: Any = None) -> None:
-        import threading
-        t = threading.Timer(delay, fn, args=(arg,))
-        t.daemon = True
-        t.start()
-        self._timers.append(t)
-
-    def store(self) -> Any:
-        import queue
-        return queue.SimpleQueue()
-
-    def transfer(self, src: str, dst: str, nbytes: int) -> float:
-        key = (src, dst)
-        self.bytes_moved[key] = self.bytes_moved.get(key, 0) + nbytes
-        return 0.0
-
-    # -- the serving entry -------------------------------------------------
-
-    def serve(self, **kw: Any) -> Dict[str, Any]:
-        """Accepts the ``serve_mix`` surface; virtual-only knobs that
-        cannot apply to wall-clock execution (placement/offload policy
-        objects, cost models, chaos traces) are rejected loudly rather
-        than silently ignored."""
-        unsupported = {k: v for k, v in kw.items()
-                       if k in ("fault_plan", "tracer", "cost", "admission")
-                       and v is not None}
-        if unsupported:
-            raise ValueError(
-                f"real backend does not support {sorted(unsupported)}; "
-                f"chaos/admission scenarios run on the virtual oracle")
-        allowed = ("mix", "n_requests", "seed", "interarrival",
-                   "tenants", "arrival_rate")
-        call = {k: v for k, v in kw.items() if k in allowed}
-        call.setdefault("quantum", REAL_QUANTUM)
-        return serve_real(procs=self.procs, runtime=self, **call)

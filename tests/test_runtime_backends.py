@@ -1,13 +1,14 @@
-"""The runtime seam: virtual and real backends behind one interface.
+"""The real backend, held to the virtual oracle.
 
-Primitive-level contract tests for both runtimes, plus the suite the
-tentpole stands on: a same-seed **differential** between the
-multiprocess wall-clock backend and the virtual-time oracle on the
-paper mix — results, correctness flags, and tenant attribution must be
-equal request by request (timings and placement excluded — those are
-the quantities the backends are supposed to disagree on), and a
-worker-process crash must surface as chaos-style recovery on the
-survivors, never as a hang or a wrong answer.
+The suite the real backend stands on: a same-seed **differential**
+between the multiprocess wall-clock backend and the virtual-time
+oracle on the paper mix — results, correctness flags, and tenant
+attribution must be equal request by request (timings and placement
+excluded — those are the quantities the backends are supposed to
+disagree on) — plus an in-process steal of every served program, a
+worker-process crash that must surface as chaos-style recovery on the
+survivors (never as a hang or a wrong answer), and the CLI refusing
+virtual-only options.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import os
 
 import pytest
 
-from repro.runtime import BACKENDS, get_runtime
-from repro.runtime.base import Runtime
+from repro.runtime import wire
 from repro.runtime.crosscheck import (CrosscheckError,
                                       crosscheck_real_vs_virtual,
                                       virtual_request_rows)
-from repro.runtime.real import RealRuntime, available_cores, serve_real
-from repro.runtime.virtual import VirtualRuntime
+from repro.runtime.real import _Worker, available_cores, serve_real
+from repro.workloads.mixes import (MIXES, expected_request_result,
+                                   needs_isolation)
 
 #: small enough to stay civil on a 1-core CI box, large enough to mix
 #: programs and (with 2 procs) exercise the control plane
@@ -31,74 +32,6 @@ N_SMALL = 6
 #: wall-clock ceiling for every real-backend run in this suite: these
 #: runs take ~1 s; a hang must fail loudly long before CI's timeout
 DEADLINE = float(os.environ.get("REPRO_REAL_DEADLINE_S", "180"))
-
-
-# -- factory and primitives ----------------------------------------------------
-
-
-def test_factory_resolves_both_backends():
-    assert set(BACKENDS) == {"virtual", "real"}
-    assert isinstance(get_runtime("virtual"), VirtualRuntime)
-    rt = get_runtime("real", procs=3)
-    assert isinstance(rt, RealRuntime) and rt.procs == 3
-    with pytest.raises(ValueError, match="unknown backend"):
-        get_runtime("imaginary")
-
-
-def test_runtime_interface_is_abstract():
-    with pytest.raises(TypeError):
-        Runtime()  # all four primitives + serve are abstract
-
-
-def test_virtual_primitives_run_on_the_kernel():
-    rt = VirtualRuntime()
-    fired = []
-    rt.timer(2.5, fired.append)
-    store = rt.store()
-
-    def consumer(out):
-        got = yield store.get()
-        out.append((rt.now(), got))
-
-    consumed = []
-    rt.spawn(consumer, consumed)
-    rt.spawn(lambda: store.put("item"))  # plain callable: runs inline
-    rt.run(until=10.0)
-    assert fired == [None] and consumed == [(0.0, "item")]
-    assert rt.now() == 2.5  # the kernel stops at the last event
-    # transfers price through the modeled link spec: deterministic, > 0
-    t = rt.transfer("node0", "node1", 10_000)
-    assert t == rt.transfer("node0", "node1", 10_000) > 0.0
-
-
-def test_virtual_serve_is_the_unchanged_scheduler_path():
-    rt = VirtualRuntime()
-    rep = rt.serve(mix="paper", n_requests=N_SMALL, seed=7)
-    assert rep["backend"] == "virtual"
-    assert rep["served"] == rep["correct"] == N_SMALL
-
-
-def test_real_runtime_primitives_are_wall_clock():
-    rt = RealRuntime(procs=2)
-    assert rt.procs == 2
-    before = rt.now()
-    done = []
-    t = rt.spawn(lambda: done.append(True))
-    t.join(5.0)
-    assert done == [True] and rt.now() >= before
-    q = rt.store()
-    q.put(1)
-    assert q.get(timeout=5.0) == 1
-    rt.transfer("a", "b", 100)
-    rt.transfer("a", "b", 28)
-    assert rt.bytes_moved[("a", "b")] == 128
-
-
-def test_real_runtime_rejects_virtual_only_knobs():
-    rt = RealRuntime(procs=1)
-    with pytest.raises(ValueError, match="virtual oracle"):
-        rt.serve(mix="paper", n_requests=2, seed=7,
-                 fault_plan=[("crash", 0.1)])
 
 
 def test_real_backend_needs_at_least_one_proc():
@@ -177,6 +110,70 @@ def test_migration_ships_real_bytes_and_stays_correct():
     crosscheck_real_vs_virtual(rep)
     if s["migrations"]:  # timing-dependent on a loaded box
         assert s["image_bytes"] > 0 and s["token_bytes"] > 0
+
+
+# -- stealing, in process -------------------------------------------------------
+
+
+class _Pipe:
+    """Stands in for a worker's control pipe: keeps what it is sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send_bytes(self, data: bytes) -> None:
+        self.sent.append(wire.decode(data))
+
+
+@pytest.mark.parametrize("mix", ["scale", "paper"])
+def test_stolen_thread_finishes_correctly_on_the_thief(mix):
+    """Every program of the mix runs one quantum on a victim, is
+    captured there, restored on a thief and run to completion: the
+    result must equal the oracle, and neither worker may keep a
+    request's namespace once the request has left it."""
+    victim = _Worker(_Pipe(), "procA", mix, quantum=500)
+    thief = _Worker(_Pipe(), "procB", mix, quantum=500)
+    isolated = set()
+    for rid, (spec, _w) in enumerate(MIXES[mix].choices):
+        victim._handle(("run", [(rid, spec.program, list(spec.args))]))
+        victim._start_next()
+        _rid, thread = victim.running
+        isolated.add(thread.namespace is not None)
+        assert victim.machine.run(thread, quantum=victim.quantum) \
+            == "preempted"
+        victim._handle(("capture", rid))
+        kind, _rid, image = victim.conn.sent[-1]
+        assert kind == "image" and victim.running is None
+        thief._handle(("restore", image))
+        _rid, stolen = thief.running
+        assert thief.machine.run(stolen) == "finished"
+        thief._finish(rid, stolen)
+        assert thief.conn.sent[-1][:3] == \
+            ("done", rid, expected_request_result(spec))
+    assert isolated == {needs_isolation(s.program)
+                        for s, _w in MIXES[mix].choices}
+    for w in (victim, thief):
+        assert w.running is None
+        assert not [ns.tag for ns in w.machine.loaders()[1:]
+                    if ns.tag.startswith(("rq", "mig"))]
+
+
+# -- the CLI ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", [
+    ["--chaos", "42"], ["--record", "trace.json"],
+    ["--replay", "trace.json"], ["--shed-at", "2.0"], ["--slo", "0.1"],
+    ["--admission", "adaptive"]])
+def test_cli_real_backend_refuses_virtual_only_options(flag, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+    from repro.__main__ import main
+    monkeypatch.chdir(tmp_path)
+    assert main(["serve", "--backend", "real", "--requests", "2",
+                 *flag]) == 2
+    assert f"{flag[0]} only makes sense" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # nothing recorded or run
 
 
 # -- crash recovery ------------------------------------------------------------
