@@ -581,49 +581,6 @@ class SODEngine:
 
     # -- SOD migration -----------------------------------------------------------------
 
-    def _class_ship_bytes(self, dst_node: str, name: str,
-                          cf: ClassFile) -> Tuple[int, bool]:
-        """Wire bytes for shipping class ``name`` to ``dst_node``: the
-        full class file (plus its pre-decoded stream riding along) on
-        first contact, or a content-addressed digest token when the
-        destination's classpath already holds it — the classpath *is*
-        the cache (class files are immutable once defined).  Returns
-        (bytes, cached)."""
-        full = class_size(cf)
-        if not self.transfer_cache:
-            return full, False
-        dst = self.hosts.get(dst_node)
-        if dst is not None and dst.machine.loader.has_classfile(name):
-            return CLASS_TOKEN_BYTES, True
-        return full, False
-
-    def _ship_class(self, rec: MigrationRecord, dst_node: str, name: str,
-                    cf: ClassFile) -> None:
-        """Price one class shipment into ``rec`` — full bytes or digest
-        token — and account the elided bytes."""
-        rec.class_bytes, rec.cached_class = self._class_ship_bytes(
-            dst_node, name, cf)
-        if rec.cached_class:
-            rec.saved_bytes += max(0, class_size(cf) - rec.class_bytes)
-
-    def _baseline(self, home_node: str, dst_node: str,
-                  ns: Optional[str] = None) -> Optional[CaptureBaseline]:
-        """Staged delta-capture view of the (home, worker) ledger for
-        one namespace, or None with the transfer cache disabled."""
-        if not self.transfer_cache:
-            return None
-        return CaptureBaseline(self.ledger(home_node, dst_node), ns)
-
-    def _commit_shipment(self, base: Optional[CaptureBaseline], src: str,
-                         dst_node: str, saved_bytes: int) -> None:
-        """A migration's restore succeeded: fold the staged delta into
-        the durable ledger and credit the elided bytes to the link's
-        savings meter."""
-        if base is not None:
-            base.commit()
-        if saved_bytes:
-            self.cluster.network.record_saved(src, dst_node, saved_bytes)
-
     @staticmethod
     def _static_classes(state: CapturedState) -> frozenset:
         """Classes whose statics travel with this captured segment."""
@@ -664,110 +621,148 @@ class SODEngine:
                     f"from {home} using these statics in the same "
                     f"namespace; cannot also serve {src_node}")
 
-    def migrate(self, src_host: Host, thread: ThreadState, dst_node: str,
-                nframes: int = 1,
-                run_after_restore: bool = False
-                ) -> Tuple[Host, ThreadState, MigrationRecord]:
-        """Migrate the top ``nframes`` frames of ``thread`` to
-        ``dst_node``.  The source thread keeps its full (now partially
-        stale) stack, as the paper's home node does, until the segment
-        completes and :meth:`complete_segment` pops it.
+    def _ship(self, src_host: Host, threads: List[ThreadState],
+              dst_node: str, nframes: int, home: Host, identity
+              ) -> Tuple[Host, List[Tuple[ThreadState, MigrationRecord]]]:
+        """The one SOD shipment (paper section III, Fig. 1a): freeze
+        each thread at an MSP, capture its top ``nframes`` frames on
+        ``src_host``, ship every capture to ``dst_node`` in one bulk
+        message, and restore the segments there anchored to ``home``
+        (their completion writes back to it; the worker fetches classes
+        from it).  ``identity`` re-encodes fetched copies on an
+        intermediate hop as references to their true home.
 
-        Returns (worker_host, worker_thread, record)."""
+        Each capture is a delta against the staged (home, dst) ledger
+        view of its thread's namespace: the first capture in a batch
+        ships a static fresh and same-namespace batchmates ride as
+        ``@cached`` markers.  The message pays the fixed transfer setup
+        once and carries each distinct top-frame class once, as a
+        digest token when the destination already holds it.  A
+        destination without VMTI gets the portable (Java-serialized)
+        format and restores by reflection (section IV.D).  The ledger
+        commits only after every restore succeeded.
+
+        Returns ``(worker_host, [(worker_thread, record), ...])`` in
+        input order."""
+        if not threads:
+            raise MigrationError("empty thread batch")
         if src_host.vmti is None:
             raise MigrationError(
                 f"source {src_host.node_name} lacks VMTI; cannot capture")
-        rec = MigrationRecord(src=src_host.node_name, dst=dst_node,
-                              nframes=nframes)
+        src = src_host.node_name
         machine = src_host.machine
+        portable = not self.cluster.node(dst_node).spec.has_vmti
 
-        # Freeze at a migration-safe point.
-        t0 = machine.clock
-        run_to_msp(machine, thread)
-        self.timeline += machine.clock - t0
+        # -- capture (C2 part 1), each thread at its own MSP --
+        bases: Dict[Optional[str], Optional[CaptureBaseline]] = {}
+        recs: List[MigrationRecord] = []
+        states: List[CapturedState] = []
+        for thread in threads:
+            if thread.namespace not in bases:
+                bases[thread.namespace] = (
+                    CaptureBaseline(self.ledger(home.node_name, dst_node),
+                                    thread.namespace)
+                    if self.transfer_cache else None)
+            base = bases[thread.namespace]
+            t0 = machine.clock
+            run_to_msp(machine, thread)
+            self.timeline += machine.clock - t0
+            t0 = machine.clock
+            state = capture_segment(src_host.vmti, thread, nframes,
+                                    home_node=src,
+                                    return_to=home.node_name,
+                                    baseline=base, identity=identity)
+            machine.charge(self.sys.sod_capture_fixed)
+            if portable:
+                # Re-encode the captured data with Java serialization.
+                machine.charge(self.sys.portable_capture_fixed)
+            recs.append(MigrationRecord(
+                src=src, dst=dst_node, nframes=nframes,
+                capture_time=machine.clock - t0,
+                state_bytes=state.state_bytes(),
+                cached_statics=state.cached_statics,
+                cached_frames=state.cached_frames,
+                saved_bytes=state.saved_bytes))
+            if base is not None:
+                base.stage(state)
+            states.append(state)
 
-        # -- capture (C2 part 1): a delta snapshot against the ledger of
-        # what this destination already holds from this home, in the
-        # thread's namespace --
-        base = self._baseline(src_host.node_name, dst_node,
-                              thread.namespace)
-        t0 = machine.clock
-        state = capture_segment(src_host.vmti, thread, nframes,
-                                home_node=src_host.node_name,
-                                baseline=base)
-        machine.charge(self.sys.sod_capture_fixed)
-        dst_spec = self.cluster.node(dst_node).spec
-        if not dst_spec.has_vmti:
-            # Destination cannot restore via VMTI: re-encode the captured
-            # data with Java serialization into a portable format.
-            machine.charge(self.sys.portable_capture_fixed)
-        rec.capture_time = machine.clock - t0
-
-        # -- transfer (serialized sizes go on the wire) --
-        rec.state_bytes = state.state_bytes()
-        rec.cached_statics = state.cached_statics
-        rec.cached_frames = state.cached_frames
-        rec.saved_bytes = state.saved_bytes
-        if base is not None:
-            base.stage(state)
-        top_class = state.frames[-1].class_name
-        cf = machine.loader.classfile(top_class)
-        self._ship_class(rec, dst_node, top_class, cf)
-        state_wire = machine.cost.wire_bytes(rec.state_bytes)
-        class_wire = machine.cost.wire_bytes(rec.class_bytes)
-        if not dst_spec.has_vmti:
-            # Portable (Java-serialized) format: class descriptors and
-            # string tables ride along with both payloads (section IV.D).
+        # -- one bulk transfer; each distinct class's bytes are charged
+        # to the first record that ships it (summing class_bytes across
+        # records must equal what actually crossed the wire) --
+        dst = self.hosts.get(dst_node)
+        class_files: Dict[str, ClassFile] = {}
+        class_wire = 0
+        for rec, state in zip(recs, states):
+            name = state.frames[-1].class_name
+            if name in class_files:
+                continue
+            cf = class_files[name] = machine.loader.classfile(name)
+            full = class_size(cf)
+            # The destination's classpath *is* the cache: class files
+            # are immutable once defined.
+            if (self.transfer_cache and dst is not None
+                    and dst.machine.loader.has_classfile(name)):
+                rec.class_bytes, rec.cached_class = CLASS_TOKEN_BYTES, True
+                rec.saved_bytes += max(0, full - CLASS_TOKEN_BYTES)
+            else:
+                rec.class_bytes = full
+            class_wire += machine.cost.wire_bytes(rec.class_bytes)
+        state_wire = sum(machine.cost.wire_bytes(r.state_bytes)
+                         for r in recs)
+        if portable:
+            # Class descriptors and string tables ride along with both
+            # payloads (section IV.D).
             state_wire += self.sys.portable_state_overhead_bytes
             class_wire += self.sys.portable_state_overhead_bytes // 2
-        rec.state_transfer_time = (
-            self.sys.sod_transfer_fixed
-            + self.transfer_time(src_host.node_name, dst_node, state_wire))
-        rec.class_transfer_time = self.transfer_time(
-            src_host.node_name, dst_node, class_wire)
-        rec.transfer_time = rec.state_transfer_time + rec.class_transfer_time
+        bulk_state = (self.sys.sod_transfer_fixed
+                      + self.transfer_time(src, dst_node, state_wire))
+        bulk_class = self.transfer_time(src, dst_node, class_wire)
+        # Attribute the shared bulk times evenly across the batch so
+        # per-record latencies still sum to the true wire time.
+        for rec in recs:
+            rec.state_transfer_time = bulk_state / len(recs)
+            rec.class_transfer_time = bulk_class / len(recs)
+            rec.transfer_time = rec.state_transfer_time \
+                + rec.class_transfer_time
 
-        # -- restore (destination) --
-        worker, spawn = self._worker_host(dst_node, src_host)
-        rec.worker_spawn_time = spawn
-        # The top frame's class arrives with the state.
-        worker.machine.loader._classpath.setdefault(top_class, cf)
-        worker.attach_object_manager()
-        self._check_cross_home_statics(worker, state, src_host.node_name)
-        if worker.vmti is not None:
+        # -- restore each segment on the worker (the top-frame classes
+        # arrive with the state) --
+        worker, spawn = self._worker_host(dst_node, home)
+        for name, cf in class_files.items():
+            worker.machine.loader._classpath.setdefault(name, cf)
+        for state in states:
+            self._check_cross_home_statics(worker, state, home.node_name)
+        out: List[Tuple[ThreadState, MigrationRecord]] = []
+        for rec, state in zip(recs, states):
+            rec.worker_spawn_time = spawn
+            spawn = 0.0  # charged once per batch
             worker_thread = self._restore_segment(worker, state, nframes,
-                                                  src_host, rec, base)
-        else:
-            # Reflection-based rebuild on the (slow) device CPU; no
-            # VMTI/JNI machinery involved (paper section IV.D).
-            if state.namespace is not None:
-                self._ns_home[state.namespace] = src_host.node_name
-                self.note_namespace_site(state.namespace, worker.node_name)
-                self.note_namespace_site(state.namespace,
-                                         src_host.node_name)
-            t0 = worker.machine.clock
-            worker.machine.charge(
-                self.sys.java_restore_fixed
-                + self.sys.java_restore_per_frame * nframes)
-            worker.machine.charge(worker.machine.cost.deserialize_cost(
-                rec.state_bytes))
-            self._rehydrate_frames(state, base)
-            worker_thread = java_level_restore(
-                worker.machine, state,
-                static_fallback=self._static_fallback(worker, src_host,
-                                                      base))
-            if worker.objman is not None:
-                worker.objman.register_thread_home(
-                    worker_thread, src_host.node_name,
-                    self._static_classes(state))
-            rec.restore_time = worker.machine.clock - t0
-        self._commit_shipment(base, src_host.node_name, dst_node,
-                              rec.saved_bytes)
+                                                  home, rec,
+                                                  bases[state.namespace])
+            self.timeline += rec.latency
+            self.migrations.append(rec)
+            out.append((worker_thread, rec))
+        for base in bases.values():
+            if base is not None:
+                base.commit()
+        saved = sum(r.saved_bytes for r in recs)
+        if saved:
+            self.cluster.network.record_saved(src, dst_node, saved)
+        return worker, out
 
-        self.timeline += rec.latency
-        self.migrations.append(rec)
-        if run_after_restore:
-            self.run(worker, worker_thread)
+    def migrate(self, src_host: Host, thread: ThreadState, dst_node: str,
+                nframes: int = 1
+                ) -> Tuple[Host, ThreadState, MigrationRecord]:
+        """Migrate the top ``nframes`` frames of ``thread`` to
+        ``dst_node`` (a one-thread :meth:`migrate_many`).  The source
+        thread keeps its full (now partially stale) stack, as the
+        paper's home node does, until the segment completes and
+        :meth:`complete_segment` pops it.
+
+        Returns (worker_host, worker_thread, record)."""
+        worker, [(worker_thread, rec)] = self.migrate_many(
+            src_host, [thread], dst_node, nframes)
         return worker, worker_thread, rec
 
     def migrate_many(self, src_host: Host, threads: List[ThreadState],
@@ -788,118 +783,8 @@ class SODEngine:
         Returns ``(worker_host, [(worker_thread, record), ...])`` in
         input order.  Requires ``threads`` to be non-empty.
         """
-        if not threads:
-            raise MigrationError("migrate_many: empty thread batch")
-        if src_host.vmti is None:
-            raise MigrationError(
-                f"source {src_host.node_name} lacks VMTI; cannot capture")
-        machine = src_host.machine
-        dst_spec = self.cluster.node(dst_node).spec
-        if not dst_spec.has_vmti:
-            raise MigrationError(
-                "migrate_many targets VMTI-capable nodes only")
-
-        # -- capture every thread (each at its own MSP), each a delta
-        # against the staged ledger view of its *own namespace* (the
-        # first capture in the batch ships a static fresh; same-
-        # namespace batchmates ride as @cached markers; other
-        # namespaces have their own cells and their own baselines) --
-        bases: Dict[Optional[str], Optional[CaptureBaseline]] = {}
-        recs: List[MigrationRecord] = []
-        states: List[CapturedState] = []
-        for thread in threads:
-            if thread.namespace not in bases:
-                bases[thread.namespace] = self._baseline(
-                    src_host.node_name, dst_node, thread.namespace)
-            base = bases[thread.namespace]
-            t0 = machine.clock
-            run_to_msp(machine, thread)
-            self.timeline += machine.clock - t0
-            t0 = machine.clock
-            state = capture_segment(src_host.vmti, thread, nframes,
-                                    home_node=src_host.node_name,
-                                    baseline=base)
-            machine.charge(self.sys.sod_capture_fixed)
-            rec = MigrationRecord(src=src_host.node_name, dst=dst_node,
-                                  nframes=nframes)
-            rec.capture_time = machine.clock - t0
-            rec.state_bytes = state.state_bytes()
-            rec.cached_statics = state.cached_statics
-            rec.cached_frames = state.cached_frames
-            rec.saved_bytes = state.saved_bytes
-            if base is not None:
-                base.stage(state)
-            states.append(state)
-            recs.append(rec)
-
-        # -- one bulk transfer: single fixed setup, classes deduplicated
-        # within the batch and digest-tokenized against the worker --
-        class_files = {}
-        for state in states:
-            top_class = state.frames[-1].class_name
-            if top_class not in class_files:
-                class_files[top_class] = machine.loader.classfile(top_class)
-        state_wire = sum(machine.cost.wire_bytes(r.state_bytes)
-                         for r in recs)
-        class_bytes = {}
-        class_cached = {}
-        for name, cf in class_files.items():
-            class_bytes[name], class_cached[name] = self._class_ship_bytes(
-                dst_node, name, cf)
-        class_wire = sum(machine.cost.wire_bytes(b)
-                         for b in class_bytes.values())
-        bulk_state = (self.sys.sod_transfer_fixed
-                      + self.transfer_time(src_host.node_name, dst_node,
-                                           state_wire))
-        bulk_class = self.transfer_time(src_host.node_name, dst_node,
-                                        class_wire)
-        # Attribute the shared bulk times evenly across the batch so
-        # per-record latencies still sum to the true wire time; each
-        # distinct class's bytes are charged to the first record that
-        # ships it (summing class_bytes across records must equal what
-        # actually crossed the wire).
-        n = len(recs)
-        charged: set = set()
-        for rec, state in zip(recs, states):
-            top_class = state.frames[-1].class_name
-            if top_class not in charged:
-                charged.add(top_class)
-                rec.class_bytes = class_bytes[top_class]
-                rec.cached_class = class_cached[top_class]
-                if rec.cached_class:
-                    rec.saved_bytes += max(
-                        0, class_size(class_files[top_class])
-                        - rec.class_bytes)
-            rec.state_transfer_time = bulk_state / n
-            rec.class_transfer_time = bulk_class / n
-            rec.transfer_time = rec.state_transfer_time \
-                + rec.class_transfer_time
-
-        # -- restore each segment on the worker --
-        worker, spawn = self._worker_host(dst_node, src_host)
-        for name, cf in class_files.items():
-            worker.machine.loader._classpath.setdefault(name, cf)
-        worker.attach_object_manager()
-        for state in states:
-            self._check_cross_home_statics(worker, state,
-                                           src_host.node_name)
-        out: List[Tuple[ThreadState, MigrationRecord]] = []
-        for rec, state in zip(recs, states):
-            rec.worker_spawn_time = spawn
-            spawn = 0.0  # charged once per batch
-            worker_thread = self._restore_segment(worker, state, nframes,
-                                                  src_host, rec,
-                                                  bases[state.namespace])
-            self.timeline += rec.latency
-            self.migrations.append(rec)
-            out.append((worker_thread, rec))
-        saved = sum(r.saved_bytes for r in recs)
-        for base in bases.values():
-            self._commit_shipment(base, src_host.node_name, dst_node, 0)
-        if saved:
-            self.cluster.network.record_saved(src_host.node_name, dst_node,
-                                              saved)
-        return worker, out
+        return self._ship(src_host, threads, dst_node, nframes, src_host,
+                          None)
 
     # -- multi-hop re-offload (Fig. 1c chains) -----------------------------------------
 
@@ -919,14 +804,17 @@ class SODEngine:
         frames are re-encoded as references to their *true* home via
         the hop's identity map, so no proxy chains build up.  Objects
         the hop itself created stay on its heap and serve on-demand
-        fetches from the next hop.
+        fetches from the next hop.  Both hops need VMTI; a refused
+        target is refused before anything flushes or spawns.
 
         Returns (worker_host, worker_thread, record)."""
-        if src_worker.vmti is None:
-            raise MigrationError(
-                f"hop {src_worker.node_name} lacks VMTI; cannot capture")
         if dst_node == src_worker.node_name:
             raise MigrationError("re-offload to the same node")
+        if (src_worker.vmti is None
+                or not self.cluster.node(dst_node).spec.has_vmti):
+            raise MigrationError(
+                f"multi-hop {src_worker.node_name} -> {dst_node} needs "
+                f"VMTI on both hops")
         machine = src_worker.machine
         objman = src_worker.objman
 
@@ -935,9 +823,6 @@ class SODEngine:
         t0 = machine.clock
         run_to_msp(machine, seg_thread)
         self.timeline += machine.clock - t0
-        nframes = len(seg_thread.frames)
-        rec = MigrationRecord(src=src_worker.node_name, dst=dst_node,
-                              nframes=nframes)
 
         # Home heap becomes authoritative before the segment moves on —
         # and so does every *earlier hop* whose objects this segment
@@ -955,47 +840,9 @@ class SODEngine:
             self._flush_foreign_effects(src_worker, home.node_name,
                                         seg_thread)
 
-        base = self._baseline(home.node_name, dst_node,
-                              seg_thread.namespace)
-        identity = objman.home_identity if objman is not None else None
-        t0 = machine.clock
-        state = capture_segment(src_worker.vmti, seg_thread, nframes,
-                                home_node=src_worker.node_name,
-                                return_to=home.node_name,
-                                baseline=base, identity=identity)
-        machine.charge(self.sys.sod_capture_fixed)
-        rec.capture_time = machine.clock - t0
-
-        rec.state_bytes = state.state_bytes()
-        rec.cached_statics = state.cached_statics
-        rec.cached_frames = state.cached_frames
-        rec.saved_bytes = state.saved_bytes
-        if base is not None:
-            base.stage(state)
-        top_class = state.frames[-1].class_name
-        cf = machine.loader.classfile(top_class)
-        self._ship_class(rec, dst_node, top_class, cf)
-        rec.state_transfer_time = (
-            self.sys.sod_transfer_fixed
-            + self.transfer_time(src_worker.node_name, dst_node,
-                                 machine.cost.wire_bytes(rec.state_bytes)))
-        rec.class_transfer_time = self.transfer_time(
-            src_worker.node_name, dst_node,
-            machine.cost.wire_bytes(rec.class_bytes))
-        rec.transfer_time = rec.state_transfer_time + rec.class_transfer_time
-
-        # Restore at the next hop, class-fetching from the *home*.
-        worker, spawn = self._worker_host(dst_node, home)
-        rec.worker_spawn_time = spawn
-        if worker.vmti is None:
-            raise MigrationError("multi-hop targets VMTI-capable nodes only")
-        worker.machine.loader._classpath.setdefault(top_class, cf)
-        worker.attach_object_manager()
-        self._check_cross_home_statics(worker, state, home.node_name)
-        worker_thread = self._restore_segment(worker, state, nframes,
-                                              home, rec, base)
-        self._commit_shipment(base, src_worker.node_name, dst_node,
-                              rec.saved_bytes)
+        worker, [(worker_thread, rec)] = self._ship(
+            src_worker, [seg_thread], dst_node, len(seg_thread.frames),
+            home, objman.home_identity if objman is not None else None)
 
         # The source hop's role is over: end its epoch and drop dead
         # dirty-tracking so locally served requests regain fast dispatch
@@ -1008,9 +855,6 @@ class SODEngine:
             if (not objman.thread_home and not objman.dirty
                     and not objman.dirty_statics):
                 objman.disarm()
-
-        self.timeline += rec.latency
-        self.migrations.append(rec)
         return worker, worker_thread, rec
 
     # -- segment completion ------------------------------------------------------------
@@ -1144,21 +988,32 @@ class SODEngine:
                          nframes: int, home: Host,
                          rec: MigrationRecord,
                          base: Optional[CaptureBaseline]) -> ThreadState:
-        """Shared VMTI restore tail: cost charges, the breakpoint-dance
-        restore (with delta-marker fallback wired to ``home``), epoch
-        registration, and ``rec.restore_time``."""
+        """Restore one shipped segment on ``worker``: cost charges, the
+        restore itself (with delta-marker fallback wired to ``home``),
+        epoch registration, and ``rec.restore_time``.  A worker with
+        VMTI runs the breakpoint-dance restore; one without rebuilds
+        the frames by reflection on its (slow) device CPU, with no
+        VMTI/JNI machinery involved (paper section IV.D)."""
         self._rehydrate_frames(state, base)
         if state.namespace is not None:
             self._ns_home[state.namespace] = home.node_name
             self.note_namespace_site(state.namespace, worker.node_name)
             self.note_namespace_site(state.namespace, home.node_name)
         t0 = worker.machine.clock
-        worker.machine.charge(self.sys.sod_restore_fixed
-                              + self.sys.sod_restore_per_frame * nframes)
-        driver = RestoreDriver(
-            worker.machine, worker.vmti, state,
-            static_fallback=self._static_fallback(worker, home, base))
-        worker_thread = driver.restore(run_after=False)
+        fallback = self._static_fallback(worker, home, base)
+        if worker.vmti is not None:
+            worker.machine.charge(self.sys.sod_restore_fixed
+                                  + self.sys.sod_restore_per_frame * nframes)
+            worker_thread = RestoreDriver(
+                worker.machine, worker.vmti, state,
+                static_fallback=fallback).restore(run_after=False)
+        else:
+            worker.machine.charge(self.sys.java_restore_fixed
+                                  + self.sys.java_restore_per_frame * nframes)
+            worker.machine.charge(worker.machine.cost.deserialize_cost(
+                rec.state_bytes))
+            worker_thread = java_level_restore(worker.machine, state,
+                                               static_fallback=fallback)
         if worker.objman is not None:
             worker.objman.register_thread_home(
                 worker_thread, home.node_name, self._static_classes(state))

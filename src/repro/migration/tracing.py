@@ -54,10 +54,8 @@ class Tracer:
         self._orig["fetch_remote"] = engine.fetch_remote
         self._orig["complete_segment"] = engine.complete_segment
 
-        def migrate(src_host, thread, dst_node, nframes=1,
-                    run_after_restore=False):
-            out = self._orig["migrate"](src_host, thread, dst_node, nframes,
-                                        run_after_restore)
+        def migrate(src_host, thread, dst_node, nframes=1):
+            out = self._orig["migrate"](src_host, thread, dst_node, nframes)
             rec: MigrationRecord = out[2]
             self._push("migrate", rec.src, rec.dst, frames=rec.nframes,
                        state_bytes=rec.state_bytes,

@@ -13,13 +13,18 @@ Design constraints:
 * **Self-describing and total** over the value domain the migration
   layer produces: ``None``/bool/int/float/str/bytes and
   tuple/list/dict compositions thereof (dict keys are arbitrary
-  encodable values — the statics table is keyed by ``(class, field)``
-  tuples).
+  hashable encodable values — the statics table is keyed by
+  ``(class, field)`` tuples), nested at most :data:`MAX_DEPTH`
+  containers deep.
 * **Canonical**: one value, one byte string.  Ints are
   minimal-length two's-complement; floats are exactly 8 bytes
   (IEEE-754 big-endian, so ``-0.0`` and NaN payloads round-trip);
   insertion order of dicts is preserved (both ends build tables in
   deterministic order, and order *is* part of the modeled format).
+* **Fails closed**: every malformed input — truncation, an unknown
+  tag, invalid UTF-8, an unhashable map key, nesting past
+  :data:`MAX_DEPTH` in either direction — raises :class:`WireError`,
+  never a stray host exception.
 * **No host pickling** of guest-visible state: pickle's output varies
   by protocol/version and would make the golden fixtures meaningless
   (and a worker must never unpickle attacker-shaped guest values).
@@ -48,7 +53,7 @@ import hashlib
 import struct
 from typing import Any, List, Tuple
 
-__all__ = ["encode", "decode", "class_token", "CLASS_TOKEN_LEN",
+__all__ = ["encode", "decode", "class_token", "CLASS_TOKEN_LEN", "MAX_DEPTH",
            "WireError", "capture_to_wire", "capture_from_wire"]
 
 
@@ -66,15 +71,21 @@ CLASS_TOKEN_LEN = 24
 
 _TOKEN_MAGIC = b"RCT1"
 
+#: deepest container nesting either direction accepts.  Migration
+#: values are shallow (objects travel as flat descriptors; a capture
+#: nests at most five deep), so the limit only rejects hostile or cyclic
+#: input, well before the host interpreter's recursion limit.
+MAX_DEPTH = 64
+
 
 def encode(value: Any) -> bytes:
     """Serialize ``value`` to canonical bytes."""
     out: List[bytes] = []
-    _enc(value, out)
+    _enc(value, out, 0)
     return b"".join(out)
 
 
-def _enc(v: Any, out: List[bytes]) -> None:
+def _enc(v: Any, out: List[bytes], depth: int) -> None:
     # bool before int: bool is an int subclass and must keep its tag
     if v is None:
         out.append(b"N")
@@ -95,19 +106,20 @@ def _enc(v: Any, out: List[bytes]) -> None:
         out.append(b"S" + _U32.pack(len(body)) + body)
     elif isinstance(v, bytes):
         out.append(b"B" + _U32.pack(len(v)) + v)
-    elif isinstance(v, tuple):
-        out.append(b"U" + _U32.pack(len(v)))
-        for item in v:
-            _enc(item, out)
-    elif isinstance(v, list):
-        out.append(b"L" + _U32.pack(len(v)))
-        for item in v:
-            _enc(item, out)
-    elif isinstance(v, dict):
-        out.append(b"M" + _U32.pack(len(v)))
-        for k, item in v.items():
-            _enc(k, out)
-            _enc(item, out)
+    elif isinstance(v, (tuple, list, dict)):
+        if depth >= MAX_DEPTH:
+            raise WireError(f"value nests deeper than {MAX_DEPTH}")
+        depth += 1
+        if isinstance(v, dict):
+            out.append(b"M" + _U32.pack(len(v)))
+            for k, item in v.items():
+                _enc(k, out, depth)
+                _enc(item, out, depth)
+        else:
+            out.append((b"U" if isinstance(v, tuple) else b"L")
+                       + _U32.pack(len(v)))
+            for item in v:
+                _enc(item, out, depth)
     else:
         raise WireError(f"cannot wire-encode {type(v).__name__}: {v!r}")
 
@@ -116,13 +128,13 @@ def decode(data: bytes) -> Any:
     """Parse canonical bytes back into the value.  Rejects trailing
     garbage — a truncated or over-long frame is a protocol bug, not
     something to paper over."""
-    value, pos = _dec(data, 0)
+    value, pos = _dec(data, 0, 0)
     if pos != len(data):
         raise WireError(f"{len(data) - pos} trailing bytes after value")
     return value
 
 
-def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
+def _dec(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
     if pos >= len(data):
         raise WireError("truncated wire value")
     tag = data[pos:pos + 1]
@@ -149,23 +161,34 @@ def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
         if tag == b"I":
             return int.from_bytes(body, "big", signed=True), pos
         if tag == b"S":
-            return body.decode("utf-8"), pos
+            try:
+                return body.decode("utf-8"), pos
+            except UnicodeDecodeError:
+                raise WireError(f"invalid UTF-8 in string at offset "
+                                f"{pos - n}") from None
         return body, pos
     if tag in (b"U", b"L", b"M"):
         if pos + 4 > len(data):
             raise WireError("truncated count")
         n = _U32.unpack_from(data, pos)[0]
         pos += 4
+        if depth >= MAX_DEPTH:
+            raise WireError(f"wire value nests deeper than {MAX_DEPTH}")
+        depth += 1
         if tag == b"M":
             d = {}
             for _ in range(n):
-                k, pos = _dec(data, pos)
-                v, pos = _dec(data, pos)
-                d[k] = v
+                k, pos = _dec(data, pos, depth)
+                v, pos = _dec(data, pos, depth)
+                try:
+                    d[k] = v
+                except TypeError:
+                    raise WireError(f"unhashable map key "
+                                    f"{type(k).__name__}") from None
             return d, pos
         items = []
         for _ in range(n):
-            v, pos = _dec(data, pos)
+            v, pos = _dec(data, pos, depth)
             items.append(v)
         return (tuple(items) if tag == b"U" else items), pos
     raise WireError(f"unknown wire tag {tag!r} at offset {pos - 1}")

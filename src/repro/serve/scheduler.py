@@ -14,8 +14,12 @@ away.  Two mechanisms provide the elasticity:
   VMTI, shipped, and restored on the target (the paper's
   stack-on-demand migration); the worker-side segment is scheduled like
   any other work, and its completion writes results back and requeues
-  the parent's residual stack at home.  Hot batches ship as one bulk
-  message (:meth:`repro.migration.sodee.SODEngine.migrate_many`).
+  the parent's residual stack at home.  Every offload ships as one
+  bulk message (:meth:`repro.migration.sodee.SODEngine.migrate_many`;
+  a lone hot thread is a batch of one), and with ``max_seg_hops`` a
+  preempted segment can move on along a Fig. 1c chain
+  (:meth:`~repro.migration.sodee.SODEngine.rehop_segment`).  A refused
+  shipment of either kind puts its threads back on the source queue.
 
 Scale-out design (dozens of nodes, thousands of requests): every load
 question is answered by an incrementally-maintained
@@ -971,33 +975,13 @@ class ClusterScheduler:
             min(r.depth - 1 for r in batch)))
         t0 = machine.clock
         try:
-            if len(batch) == 1:
-                worker, wt, rec = self.engine.migrate(
-                    home, req.thread, target, nframes)
-                pairs = [(req, wt, rec)]
-            else:
-                worker, results = self.engine.migrate_many(
-                    home, [r.thread for r in batch], target, nframes)
-                pairs = [(r, wt, rec)
-                         for r, (wt, rec) in zip(batch, results)]
-                self.stats["batched_threads"] += len(batch)
+            _worker, results = self.engine.migrate_many(
+                home, [r.thread for r in batch], target, nframes)
         except MigrationError:
-            # Not capturable right now (finished during the MSP run,
-            # pinned frame, ...): put everything back.  Completion
-            # durations (write-back wire + apply) stay on the node's
-            # virtual bill, like the main loop's done_dt.
-            self.stats["offload_aborts"] += 1
-            done_dt = 0.0
-            requeue = []
-            for r in batch:
-                if r.thread.finished:
-                    done_dt += self._on_finished(node, r)
-                else:
-                    r.state = "queued"
-                    requeue.append(r)
-                    self._bump(node, +1, r)
-            store.put_many(requeue)
-            return machine.clock - t0 + done_dt
+            return self._abort_offload(node, batch, home, t0)
+        if len(batch) > 1:
+            self.stats["batched_threads"] += len(batch)
+        pairs = [(r, wt, rec) for r, (wt, rec) in zip(batch, results)]
         capture_dt = machine.clock - t0
         # Delivery timing: the whole bulk message must land before any
         # restore starts (per-record transfer_time is the bulk evenly
@@ -1023,6 +1007,27 @@ class ClusterScheduler:
         self._dispatch_bulk(node, target, segs, bulk_wire)
         return capture_dt
 
+    def _abort_offload(self, node: str, reqs: List[Request], src: Host,
+                       t0: float) -> float:
+        """A refused SOD shipment (not capturable right now: finished
+        during the MSP run, pinned frame, cross-home statics at the
+        target, ...): finished threads complete here, the rest go back
+        on ``node``'s queue.  Returns the node's virtual bill since
+        ``t0``; completion durations (write-back wire + apply) stay on
+        it, like the main loop's done_dt."""
+        self.stats["offload_aborts"] += 1
+        done_dt = 0.0
+        requeue = []
+        for r in reqs:
+            if r.thread.finished:
+                done_dt += self._on_finished(node, r)
+            else:
+                r.state = "queued"
+                requeue.append(r)
+                self._bump(node, +1, r)
+        self.stores[node].put_many(requeue)
+        return src.machine.clock - t0 + done_dt
+
     def _seg_rehop(self, node: str, seg: Request, target: str) -> float:
         """Move a preempted segment one hop further along a Fig. 1c
         chain (engine :meth:`~repro.migration.sodee.SODEngine.
@@ -1043,17 +1048,7 @@ class ClusterScheduler:
             worker, wt, rec = self.engine.rehop_segment(
                 src, seg.thread, target, home_host)
         except MigrationError:
-            # Not capturable right now (finished during the MSP run,
-            # pinned frame, cross-home statics at the target...).
-            self.stats["offload_aborts"] += 1
-            done_dt = 0.0
-            if seg.thread.finished:
-                done_dt = self._on_finished(node, seg)
-            else:
-                seg.state = "queued"
-                self._bump(node, +1, seg)
-                self.stores[node].put(seg)
-            return machine.clock - t0 + done_dt
+            return self._abort_offload(node, [seg], src, t0)
         capture_dt = machine.clock - t0
         seg.state = "remote"  # this hop's request object is done
         seg.parent.sod_offloads += 1

@@ -163,3 +163,73 @@ def test_fault_cache_preserves_identity(app_classes_faulting):
     # Aliasing must survive migration: p.a and p.b are the same object,
     # so the increment through a is visible through b.
     assert result == ref == 5
+
+
+def _fib_at_depth(host, name, depth=5):
+    """A Fib(12) request frozen at an MSP at least ``depth`` frames
+    deep (so a multi-frame segment has recursion above the residual)."""
+    t = host.machine.spawn("Fib", "main", [12], thread_name=name)
+    host.machine.run(t, stop=lambda th: len(th.frames) >= depth
+                     and th.frames[-1].pc in th.frames[-1].code.msps)
+    assert not t.finished
+    return t
+
+
+def _fib_want():
+    from repro.workloads.mixes import RequestSpec, expected_request_result
+    return expected_request_result(RequestSpec("Fib", (12,)))
+
+
+def test_rehop_to_vmti_less_node_refused_up_front():
+    """A chain hop to a node without VMTI is refused before the hop
+    runs, flushes or spawns anything there; the segment then completes
+    on its current hop."""
+    from repro.cluster import serve_cluster
+    from repro.cluster.node import NodeSpec
+    from repro.workloads.mixes import serve_compiled
+    cluster = serve_cluster(2)
+    cluster.add_node(NodeSpec(name="phone", has_vmti=False))
+    eng = SODEngine(cluster, serve_compiled("Fib"))
+    home = eng.host("node0")
+    t = _fib_at_depth(home, "req0")
+    worker, wt, _rec = eng.migrate(home, t, "node1", 2)
+    eng.run(worker, wt, max_instrs=7)  # partial progress on this hop
+    top = wt.frames[-1]
+    assert not wt.finished and top.pc not in top.code.msps
+    clock, timeline = worker.machine.clock, eng.timeline
+    with pytest.raises(MigrationError):
+        eng.rehop_segment(worker, wt, "phone", home)
+    assert "phone" not in eng.hosts
+    assert worker.machine.clock == clock and eng.timeline == timeline
+    eng.run(worker, wt)
+    eng.complete_segment(worker, wt, home, t, 2)
+    eng.run(home, t)
+    assert t.result == _fib_want()
+
+
+def test_migrate_many_to_vmti_less_target_uses_java_restore(monkeypatch):
+    """One bulk shipment to a device without VMTI restores every
+    segment by reflection (section IV.D), and each completes to its
+    solo-run result."""
+    from repro.cluster import phone_setup
+    from repro.migration import sodee
+    from repro.workloads.mixes import serve_compiled
+    restored = []
+
+    def spy(machine, state, static_fallback=None):
+        restored.append(state.thread_name)
+        return java_level_restore(machine, state, static_fallback)
+    java_level_restore = sodee.java_level_restore
+    monkeypatch.setattr(sodee, "java_level_restore", spy)
+    eng = SODEngine(phone_setup(), serve_compiled("Fib"))
+    server = eng.host("server")
+    threads = [_fib_at_depth(server, f"req{i}") for i in range(2)]
+    phone, out = eng.migrate_many(server, threads, "iphone", 2)
+    assert phone.vmti is None and restored == ["req0", "req1"]
+    # one bulk message: the shared top-frame class ships once
+    assert out[0][1].class_bytes > 0 and out[1][1].class_bytes == 0
+    for t, (wt, _rec) in zip(threads, out):
+        eng.run(phone, wt)
+        eng.complete_segment(phone, wt, server, t, 2)
+        eng.run(server, t)
+        assert t.result == _fib_want()

@@ -157,6 +157,34 @@ def test_decode_rejects_malformed_frames():
         wire.capture_from_wire(wire.encode(("not", "a", "capture")))
 
 
+def _nested_list(depth: int) -> list:
+    """``depth`` lists, each the only item of the one around it."""
+    v: list = []
+    for _ in range(depth - 1):
+        v = [v]
+    return v
+
+
+@pytest.mark.parametrize("call, arg", [
+    (wire.decode, b"L\x00\x00\x00\x01" * 5000 + b"N"),  # 5000 deep
+    (wire.decode, b"S\x00\x00\x00\x02\xff\xfe"),       # bad UTF-8
+    (wire.decode, b"M\x00\x00\x00\x01L\x00\x00\x00\x00N"),  # list key
+    (wire.encode, _nested_list(5000)),
+], ids=["decode-deep", "decode-utf8", "decode-list-key", "encode-deep"])
+def test_hostile_input_fails_closed(call, arg):
+    with pytest.raises(wire.WireError):
+        call(arg)
+
+
+def test_nesting_limit_is_exact_both_ways():
+    ok = _nested_list(wire.MAX_DEPTH)
+    assert wire.decode(wire.encode(ok)) == ok
+    with pytest.raises(wire.WireError):
+        wire.encode([ok])
+    with pytest.raises(wire.WireError):
+        wire.decode(b"L\x00\x00\x00\x01" + wire.encode(ok))
+
+
 def test_wire_goldens_directory_is_complete():
     if BLESS:
         pytest.skip("blessing run")
